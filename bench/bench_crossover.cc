@@ -11,7 +11,7 @@
 //
 // Three axes, one table: commit latency, write amplification, and
 // mapping-table DRAM (device + host). Emits BENCH_crossover.json for
-// scripts/check_perf.sh gate 11:
+// scripts/check_perf.sh gate 10:
 //   - "determinism_ok": each wiring digests identically across two
 //     runs (the post-block stack honors the schedule contract);
 //   - vision write amplification must undercut classic on this

@@ -1,11 +1,12 @@
 // Observability-overhead benchmark: what do the src/obs instruments
 // cost, and do they stay schedule-neutral?
 //
-// Part A — obs::EngineProfiler on the sharded engine. The 4-channel
-// fig2-class workload (the gate-7 workload) runs detached and with the
-// profiler attached, best-of-N with rotating in-rep order, at
-// workers = 0 (the sequential reference — wall-clock-stable on any
-// machine). The attached run must cost <= 2% and its committed
+// Part A — obs::EngineProfiler on the sharded engine. The full
+// ssd::Device on 4 channel shards plus a controller shard (the
+// bench_sharded_device workload with a quarter of its main-phase IOs)
+// runs detached and with the profiler attached, best-of-N with
+// rotating in-rep order, at workers = 0 (the sequential reference —
+// wall-clock-stable on any machine). The attached run must cost <= 2% and its committed
 // schedule fingerprint must be byte-identical to detached; an extra
 // attached run at workers = 2 must also match (the observer may not
 // perturb the parallel schedule either).
@@ -32,7 +33,7 @@
 #include "sim/simulator.h"
 #include "ssd/config.h"
 #include "ssd/device.h"
-#include "ssd/sharded_backend.h"
+#include "ssd/sharded_device.h"
 #include "workload/patterns.h"
 
 namespace postblock {
@@ -41,9 +42,13 @@ namespace {
 // --- Part A: profiler overhead + neutrality -------------------------------
 
 ssd::Config EngineConfig() {
-  ssd::Config config = ssd::Config::Small();
+  ssd::Config config;
   config.geometry.channels = 4;
   config.geometry.luns_per_channel = 4;
+  config.geometry.planes_per_lun = 1;
+  config.geometry.blocks_per_plane = 64;
+  config.geometry.pages_per_block = 32;
+  config.geometry.page_size_bytes = 4096;
   return config;
 }
 
@@ -53,14 +58,17 @@ struct EngineOut {
   std::uint64_t fingerprint = 0;
 };
 
-EngineOut RunEngine(std::uint32_t workers, std::uint64_t ios_per_channel,
+EngineOut RunEngine(std::uint32_t workers, std::uint64_t ios,
                     obs::EngineProfiler* profiler) {
-  ssd::ShardedRunConfig run;
+  ssd::ShardedDeviceRun run;
   run.workers = workers;
-  run.ios_per_channel = ios_per_channel;
-  run.queue_depth_per_channel = 16;
+  run.queue_depth = 32;
+  run.total_ios = ios;
+  run.write_percent = 40;
+  run.fill_fraction = 0.7;
+  run.seed = 0xdead5eed;
   run.observer = profiler;
-  ssd::ShardedFlashSim sim(EngineConfig(), run);
+  ssd::ShardedDeviceSim sim(EngineConfig(), run);
   const auto t0 = std::chrono::steady_clock::now();
   sim.Run();
   const auto t1 = std::chrono::steady_clock::now();
@@ -125,11 +133,11 @@ WatchOut RunWatchdog() {
 int main() {
   using namespace postblock;
   bench::Banner("obs",
-                "observability cost over the gate-7 sharded workload",
+                "observability cost over the sharded-device workload",
                 "profiler attached <= 2% wall clock and schedule "
                 "byte-identical; watchdog breach stream deterministic");
 
-  constexpr std::uint64_t kIosPerChannel = 30'000;
+  constexpr std::uint64_t kIos = 30'000;
   constexpr int kReps = 5;
 
   // Part A: best-of-N detached vs attached, rotating in-rep order so
@@ -142,7 +150,7 @@ int main() {
       const int m = (i + rep) % 2;
       if (m == 1) profiler.Reset();
       const EngineOut out =
-          RunEngine(/*workers=*/0, kIosPerChannel,
+          RunEngine(/*workers=*/0, kIos,
                     m == 1 ? &profiler : nullptr);
       best[m] = std::min(best[m], out.seconds);
       last[m] = out;
@@ -154,7 +162,7 @@ int main() {
   // equal the detached sequential reference.
   obs::EngineProfiler par_profiler;
   const EngineOut par =
-      RunEngine(/*workers=*/2, kIosPerChannel, &par_profiler);
+      RunEngine(/*workers=*/2, kIos, &par_profiler);
   const bool neutral = last[1].fingerprint == last[0].fingerprint &&
                        last[1].events == last[0].events &&
                        par.fingerprint == last[0].fingerprint &&

@@ -7,12 +7,16 @@
 // workers = 0 (sequential reference), 1, 2 and 4. Reports events/sec,
 // speedup, and the determinism bit: every worker count must produce a
 // combined fingerprint (model observables + committed schedule)
-// byte-identical to the sequential reference.
+// byte-identical to the sequential reference. A last run at 4 workers
+// attaches obs::EngineProfiler, must match the reference too (the
+// observer may not perturb the schedule), and reports per-shard
+// utilization and lookahead slack.
 //
-// Emits BENCH_sharded_device.json; scripts/check_perf.sh gate 10
-// enforces the determinism bit unconditionally and the >= 1.5x
-// events/sec floor at 4 workers when the machine actually has >= 4
-// hardware threads.
+// Emits BENCH_sharded_device.json and BENCH_sharded_device.profile.json;
+// scripts/check_perf.sh gate 7 enforces the determinism, WA and
+// profiler-neutrality bits unconditionally and the >= 1.6x events/sec
+// floor at 4 workers when the machine actually has >= 4 hardware
+// threads (the meta stamp records both counts).
 
 #include <chrono>
 #include <cinttypes>
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "obs/engine_profiler.h"
 #include "ssd/config.h"
 #include "ssd/sharded_device.h"
 
@@ -63,8 +68,11 @@ ShardedDeviceRun BenchRun(std::uint32_t workers, std::uint64_t ios) {
   return run;
 }
 
-Row RunOnce(std::uint32_t workers, std::uint64_t ios) {
-  ShardedDeviceSim sim(BenchConfig(), BenchRun(workers, ios));
+Row RunOnce(std::uint32_t workers, std::uint64_t ios,
+            obs::EngineProfiler* profiler = nullptr) {
+  ShardedDeviceRun run = BenchRun(workers, ios);
+  run.observer = profiler;
+  ShardedDeviceSim sim(BenchConfig(), run);
   const auto t0 = std::chrono::steady_clock::now();
   const SimTime end = sim.Run();
   const auto t1 = std::chrono::steady_clock::now();
@@ -115,6 +123,27 @@ int Main() {
       determinism_ok = false;
     }
   }
+  // Profiled run at the highest worker count, held to the reference.
+  obs::EngineProfiler profiler;
+  const Row profiled = RunOnce(worker_counts.back(), kIos, &profiler);
+  const bool profiler_neutral = profiled.fingerprint == seq.fingerprint &&
+                                profiled.events == seq.events;
+  std::printf("\nprofiled run (workers=%u, obs::EngineProfiler "
+              "attached): %s\n",
+              worker_counts.back(),
+              profiler_neutral ? "schedule byte-identical"
+                               : "FINGERPRINT MISMATCH");
+  for (std::size_t s = 0; s < profiler.shard_profiles().size(); ++s) {
+    const obs::ShardProfile& p = profiler.shard_profiles()[s];
+    std::printf("  shard %zu: util %.1f%%  busy %.1fms idle %.1fms "
+                "barrier %.1fms  %" PRIu64 " events\n",
+                s, p.Utilization() * 100, p.busy_wall_ns / 1e6,
+                p.idle_wall_ns / 1e6, p.barrier_wall_ns / 1e6, p.events);
+  }
+  const Histogram& slack = profiler.slack_hist();
+  std::printf("  lookahead slack: p50=%" PRIu64 "ns p99=%" PRIu64
+              "ns max=%" PRIu64 "ns over %" PRIu64 " shard-windows\n",
+              slack.P50(), slack.P99(), slack.max(), slack.count());
 
   const double speedup_4w =
       seq.seconds > 0 && rows.back().seconds > 0
@@ -147,13 +176,39 @@ int Main() {
                  r.rounds, r.wa, r.fingerprint,
                  static_cast<std::uint64_t>(r.sim_end_ns));
   }
+  std::fprintf(f, "  \"profiler\": {\"neutral\": %s, \"windows\": %" PRIu64
+               ", \"shards\": [\n",
+               profiler_neutral ? "true" : "false",
+               profiler.windows_observed());
+  for (std::size_t s = 0; s < profiler.shard_profiles().size(); ++s) {
+    const obs::ShardProfile& p = profiler.shard_profiles()[s];
+    std::fprintf(f,
+                 "    {\"shard\": %zu, \"utilization\": %.4f, "
+                 "\"busy_ns\": %" PRIu64 ", \"idle_ns\": %" PRIu64
+                 ", \"barrier_ns\": %" PRIu64 ", \"events\": %" PRIu64
+                 "}%s\n",
+                 s, p.Utilization(), p.busy_wall_ns, p.idle_wall_ns,
+                 p.barrier_wall_ns, p.events,
+                 s + 1 < profiler.shard_profiles().size() ? "," : "");
+  }
+  std::fprintf(f,
+               "  ], \"lookahead_slack_ns\": {\"count\": %" PRIu64
+               ", \"p50\": %" PRIu64 ", \"p99\": %" PRIu64
+               ", \"max\": %" PRIu64 "}},\n",
+               slack.count(), slack.P50(), slack.P99(), slack.max());
   std::fprintf(f, "  \"determinism_ok\": %s,\n",
                determinism_ok ? "true" : "false");
   std::fprintf(f, "  \"speedup_4w\": %.3f\n", speedup_4w);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_sharded_device.json\n");
-  return determinism_ok ? 0 : 1;
+
+  // The full git-SHA-stamped profile report rides alongside.
+  const Status st = profiler.WriteReport(
+      "BENCH_sharded_device.profile.json",
+      bench::MetaJsonFields(&config, worker_counts.back()));
+  if (st.ok()) std::printf("wrote BENCH_sharded_device.profile.json\n");
+  return determinism_ok && profiler_neutral ? 0 : 1;
 }
 
 }  // namespace

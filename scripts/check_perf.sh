@@ -36,13 +36,18 @@
 #      first-run bootstrap), 4 queues must deliver >= 2x the 1-queue
 #      IOPS on the lock-bound workload, and the completion path must
 #      not allocate in steady state;
-#   7. the sharded parallel cores: every worker count (1/2/4) must
-#      produce a combined fingerprint byte-identical to the workers=0
-#      sequential reference on the 4-channel fig2-class workload
-#      (enforced unconditionally), and 4 workers must deliver >= 1.6x
-#      the sequential events/sec — enforced only when the machine has
-#      >= 4 hardware threads (the bench stamps hardware_concurrency
-#      into its meta so a skipped floor is visible in the artifact);
+#   7. the full ssd::Device on the sharded engine (bench_sharded_device:
+#      one shard per flash channel plus a controller shard, an aged
+#      closed-loop workload whose GC relocations cross the
+#      controller/channel seam). Enforced unconditionally: every worker
+#      count (1/2/4) must produce a combined fingerprint (model
+#      observables + committed schedule) byte-identical to the
+#      workers=0 sequential reference, GC must have run (WA > 1), and
+#      the run with obs::EngineProfiler attached must commit the same
+#      schedule. 4 workers must deliver >= 1.6x the sequential
+#      events/sec — enforced only when the machine has >= 4 hardware
+#      threads (the bench stamps hardware_concurrency into its meta so
+#      a skipped floor is visible in the artifact);
 #   8. the multi-tenant vbd layer: a single pass-through tenant must be
 #      schedule-identical to the raw device (neutrality: no tenants,
 #      no cost), the 256-tenant create/run/destroy cycle must digest
@@ -51,19 +56,13 @@
 #      < 2x its solo-run p999 while the aggressor runs GC-heavy
 #      random writes;
 #   9. the observability layer: an attached EngineProfiler (default
-#      window sampling) must cost <= 2% wall clock over the gate-7
-#      sharded workload AND leave the committed schedule byte-identical
-#      to the detached run, and the SloWatchdog must emit a
+#      window sampling) must cost <= 2% wall clock over a shortened
+#      gate-7 sharded-device workload (workers = 0) AND leave the
+#      committed schedule byte-identical to the detached run, and the
+#      SloWatchdog must emit a
 #      deterministic breach stream — the intentional-breach workload
 #      must breach (> 0) with an identical digest across two runs;
-#  10. the full ssd::Device on the sharded engine: every worker count
-#      (1/2/4) must produce a combined fingerprint (model observables +
-#      committed schedule) byte-identical to the workers=0 sequential
-#      reference on the aged closed-loop workload, with GC relocations
-#      crossing the controller/channel seam — enforced unconditionally —
-#      and 4 workers must deliver >= 1.5x the sequential events/sec,
-#      enforced only when the machine has >= 4 hardware threads;
-#  11. the Section 3 crossover (classic block stack vs the post-block
+#  10. the Section 3 crossover (classic block stack vs the post-block
 #      vision wiring, same B+-tree/WAL workload on the same geometry):
 #      both wirings must digest identically across two runs, the
 #      classic side's hidden GC must actually run (WA > 1.0), the
@@ -88,8 +87,8 @@ TOLERANCE=0.15
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD_DIR" --target bench_sim_core bench_trace_overhead \
-  bench_metrics_overhead bench_reliability bench_mq bench_parallel \
-  bench_vbd bench_obs bench_sharded_device bench_crossover \
+  bench_metrics_overhead bench_reliability bench_mq bench_vbd bench_obs \
+  bench_sharded_device bench_crossover \
   -j "$(nproc)" >/dev/null
 
 ( cd "$BUILD_DIR" && ./bench/bench_sim_core )
@@ -97,7 +96,6 @@ cmake --build "$BUILD_DIR" --target bench_sim_core bench_trace_overhead \
 ( cd "$BUILD_DIR" && ./bench/bench_metrics_overhead )
 ( cd "$BUILD_DIR" && ./bench/bench_reliability )
 ( cd "$BUILD_DIR" && ./bench/bench_mq )
-( cd "$BUILD_DIR" && ./bench/bench_parallel )
 ( cd "$BUILD_DIR" && ./bench/bench_vbd )
 ( cd "$BUILD_DIR" && ./bench/bench_obs )
 ( cd "$BUILD_DIR" && ./bench/bench_sharded_device )
@@ -108,7 +106,6 @@ METRICS_RESULT="$BUILD_DIR/BENCH_metrics_overhead.json"
 RELIABILITY_RESULT="$BUILD_DIR/BENCH_reliability.json"
 MQ_RESULT="$BUILD_DIR/BENCH_mq.json"
 MQ_BASELINE="bench/baselines/mq_baseline.json"
-PARALLEL_RESULT="$BUILD_DIR/BENCH_parallel.json"
 VBD_RESULT="$BUILD_DIR/BENCH_vbd.json"
 OBS_RESULT="$BUILD_DIR/BENCH_obs.json"
 SHARDED_DEVICE_RESULT="$BUILD_DIR/BENCH_sharded_device.json"
@@ -345,19 +342,22 @@ print(f"check_perf: OK (mq: schedule identical, 1-queue IOPS "
 EOF
 fi
 
-python3 - "$PARALLEL_RESULT" <<'EOF'
+python3 - "$SHARDED_DEVICE_RESULT" <<'EOF'
 import json
 import sys
 
 result = json.load(open(sys.argv[1]))
 failures = []
 
-# Determinism is the contract, not a target: every worker count must
-# commit the exact schedule the sequential reference commits. Checked
-# unconditionally — thread count never excuses divergence.
+# Gate 7: the full ssd::Device (FTL, GC, write buffer, reliability
+# ladder) on the sharded engine. Determinism is the contract, not a
+# target, checked unconditionally: every worker count must commit the
+# schedule — and every model observable folded into the fingerprint
+# (counters, latency histograms, write amplification, GC-stall
+# attribution) — that the workers=0 sequential reference commits.
 if not result.get("determinism_ok", False):
     failures.append(
-        "sharded engine schedules diverged across worker counts "
+        "sharded-device schedules diverged across worker counts "
         "(fingerprints not byte-identical to the workers=0 reference)")
 ref = result.get("workers0", {}).get("fingerprint")
 for key in ("workers1", "workers2", "workers4"):
@@ -365,6 +365,20 @@ for key in ("workers1", "workers2", "workers4"):
     if fp is None or fp != ref:
         failures.append(
             f"{key} fingerprint {fp} != sequential reference {ref}")
+
+# Real GC must have run, or the seam was never stressed by relocation
+# traffic and the determinism bit proves less than it claims.
+wa = result.get("workers0", {}).get("write_amplification", 0.0)
+if wa <= 1.0:
+    failures.append(
+        f"write amplification {wa:.3f} <= 1.0: the aged workload did "
+        "not trigger GC relocations across the seam")
+
+# The attached profiler observes the parallel run; it may not steer it.
+if not result.get("profiler", {}).get("neutral", False):
+    failures.append(
+        "attached EngineProfiler perturbed the committed schedule "
+        "(profiled run's fingerprint or event count diverged)")
 
 # The scaling floor only means something when the hardware can actually
 # run 4 workers; the meta stamp records what this machine had.
@@ -381,12 +395,12 @@ else:
             f"(measured {speedup:.2f}x)")
 
 if failures:
-    print("check_perf: FAIL (sharded parallel cores)")
+    print("check_perf: FAIL (sharded device)")
     for f in failures:
         print(f"  - {f}")
     sys.exit(1)
-print("check_perf: OK (sharded cores byte-identical at every worker "
-      f"count; {note})")
+print("check_perf: OK (sharded device byte-identical at every worker "
+      f"count, GC active (WA {wa:.2f}), profiler neutral; {note})")
 EOF
 
 python3 - "$VBD_RESULT" <<'EOF'
@@ -480,61 +494,6 @@ EOF
 }
 gate_with_retry bench_obs check_obs
 
-python3 - "$SHARDED_DEVICE_RESULT" <<'EOF'
-import json
-import sys
-
-result = json.load(open(sys.argv[1]))
-failures = []
-
-# Gate 10: the full ssd::Device (FTL, GC, write buffer, reliability
-# ladder) on the sharded engine. Determinism is the contract, checked
-# unconditionally: every worker count must commit the schedule — and
-# every model observable folded into the fingerprint (counters,
-# latency histograms, write amplification, GC-stall attribution) —
-# that the workers=0 sequential reference commits.
-if not result.get("determinism_ok", False):
-    failures.append(
-        "sharded-device schedules diverged across worker counts "
-        "(fingerprints not byte-identical to the workers=0 reference)")
-ref = result.get("workers0", {}).get("fingerprint")
-for key in ("workers1", "workers2", "workers4"):
-    fp = result.get(key, {}).get("fingerprint")
-    if fp is None or fp != ref:
-        failures.append(
-            f"{key} fingerprint {fp} != sequential reference {ref}")
-
-# Real GC must have run, or the seam was never stressed by relocation
-# traffic and the determinism bit proves less than it claims.
-wa = result.get("workers0", {}).get("write_amplification", 0.0)
-if wa <= 1.0:
-    failures.append(
-        f"write amplification {wa:.3f} <= 1.0: the aged workload did "
-        "not trigger GC relocations across the seam")
-
-# The scaling floor only means something when the hardware can actually
-# run 4 workers; the meta stamp records what this machine had.
-hw = result.get("meta", {}).get("hardware_concurrency", 0)
-speedup = result.get("speedup_4w", 0.0)
-if hw >= 4:
-    if speedup < 1.5:
-        failures.append(
-            f"4-worker speedup {speedup:.2f}x < required 1.5x over the "
-            f"sequential reference (hardware_concurrency={hw})")
-    note = f"speedup {speedup:.2f}x >= 1.5x"
-else:
-    note = (f"speedup floor skipped: hardware_concurrency={hw} < 4 "
-            f"(measured {speedup:.2f}x)")
-
-if failures:
-    print("check_perf: FAIL (sharded device)")
-    for f in failures:
-        print(f"  - {f}")
-    sys.exit(1)
-print("check_perf: OK (sharded device byte-identical at every worker "
-      f"count, GC active (WA {wa:.2f}); {note})")
-EOF
-
 python3 - "$CROSSOVER_RESULT" <<'EOF'
 import json
 import sys
@@ -542,7 +501,7 @@ import sys
 result = json.load(open(sys.argv[1]))
 failures = []
 
-# Gate 11: the paper's Section 3 crossover, measured. Everything here
+# Gate 10: the paper's Section 3 crossover, measured. Everything here
 # is a sim-time observable of a deterministic schedule — exact checks,
 # never retried.
 if not result.get("determinism_ok", False):

@@ -451,10 +451,12 @@ void BTree::Scan(std::uint64_t lo, std::uint64_t hi, ScanCb cb) {
     });
   };
 
-  *descend = [this, lo, walk, descend](PageId id) mutable {
-    pool_->Pin(id, [this, id, lo, walk, descend](StatusOr<Frame*> f) mutable {
+  *descend = [this, lo, cb, walk, descend](PageId id) mutable {
+    pool_->Pin(id, [this, id, lo, cb, walk,
+                    descend](StatusOr<Frame*> f) mutable {
       if (!f.ok()) {
-        (*walk)(kInvalidPageId);  // deliver what we have (empty)
+        cb(f.status());
+        *walk = nullptr;
         *descend = nullptr;
         return;
       }

@@ -193,7 +193,7 @@ class ShardedEngine {
   /// fingerprints folded in shard order (worker-count invariant).
   std::uint64_t Fingerprint() const;
   /// Barrier rendezvous count (rounds) and cross-shard message count —
-  /// the seam-traffic observability bench_parallel reports.
+  /// the seam-traffic observability bench_sharded_device reports.
   std::uint64_t rounds() const { return rounds_; }
   std::uint64_t messages_delivered() const { return messages_delivered_; }
 

@@ -1,6 +1,8 @@
 #include "ssd/controller.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -27,10 +29,14 @@ Controller::Controller(ShardRouter* router, const Config& config,
       metrics_(config.metrics) {
   // The registry's polled gauges (units busy, channel busy, GC clocks)
   // read channel-shard state from the sampler's shard — unsupported
-  // until metrics grow a fold-at-rendezvous path.
-  assert(config.metrics == nullptr &&
-         "metrics sampling is not supported on the sharded device");
-  assert(router->plan().channel_shard.size() == config.geometry.channels);
+  // until metrics grow a fold-at-rendezvous path. Checked in every
+  // build: a registry here would be written from worker threads.
+  if (config.metrics != nullptr) {
+    std::fprintf(stderr,
+                 "metrics sampling is not supported on the sharded "
+                 "device\n");
+    std::abort();
+  }
   Init(router, channel_tracers);
 }
 

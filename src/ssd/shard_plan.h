@@ -1,65 +1,55 @@
 #ifndef POSTBLOCK_SSD_SHARD_PLAN_H_
 #define POSTBLOCK_SSD_SHARD_PLAN_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/types.h"
-#include "flash/geometry.h"
 #include "ssd/config.h"
 
 namespace postblock::ssd {
 
-/// One declared cross-shard interaction edge: events may cross from
-/// shard `from` to shard `to` only with at least `min_latency_ns` of
-/// simulated delay. The minimum over all edges is the engine's safe
-/// conservative-lookahead bound — the contract that lets shards run
-/// ahead of each other without ever back-dating an event.
-struct ShardEdge {
-  std::uint32_t from;
-  std::uint32_t to;
-  SimTime min_latency_ns;
-  std::string name;
-};
+/// The seam's batched doorbell/completion-coalescing grid: commands
+/// cross the controller/channel seam in batches, not per cycle. It is
+/// added on top of the config's controller overhead on both seam
+/// directions and so sets the sharded engine's lookahead. It is part
+/// of the device model, not a tuning knob: changing it changes every
+/// sharded schedule.
+inline constexpr SimTime kSeamCoalesceNs = 62 * kMicrosecond;
 
-/// The controller/channel seam annotations for a device config: which
-/// shard each channel's chips belong to, where the controller shard
-/// sits, and the declared cross-shard edges with their minimum
-/// latencies.
+/// The controller/channel seam annotations for a device config: one
+/// shard per flash channel (shard id = channel id) plus a controller
+/// shard, and the minimum latency of each seam direction.
 ///
 /// Channels are the natural shard boundary (the paper's §2.2
 /// hierarchy): chips on different channels share nothing — they only
 /// interact through the controller, and that interaction has real,
-/// bounded-below latency. Two edge families exist per channel:
+/// bounded-below latency:
 ///
 ///   dispatch:   controller -> channel. Firmware command dispatch onto
-///               the channel's queue: controller overhead plus the
-///               doorbell/coalescing grid (the blk-mq seam of PR 5 —
-///               commands cross in batches, not per-cycle).
+///               the channel's queue.
 ///   completion: channel -> controller. Completion routing back to the
-///               firmware, same batched-seam floor.
+///               firmware.
 ///
-/// Both latencies come from the config; their minimum is Lookahead(),
-/// which directly sets the sharded engine's rendezvous window width.
+/// Both are priced at controller overhead plus kSeamCoalesceNs; their
+/// minimum is Lookahead(), the sharded engine's rendezvous window.
 struct ShardPlan {
   std::uint32_t num_shards = 0;
   std::uint32_t controller_shard = 0;
-  /// channel_shard[c] = shard owning channel c's bus and LUNs.
-  std::vector<std::uint32_t> channel_shard;
   SimTime dispatch_ns = 0;
   SimTime complete_ns = 0;
-  std::vector<ShardEdge> edges;
 
-  /// The engine's safe lookahead: minimum declared cross-shard latency.
-  SimTime Lookahead() const;
+  /// The engine's safe lookahead: minimum cross-shard latency.
+  SimTime Lookahead() const { return std::min(dispatch_ns, complete_ns); }
 
-  /// Builds the per-channel plan for a device shape: one shard per
-  /// channel plus a controller shard (id = channels). `seam_coalesce_ns`
-  /// is the batched doorbell/completion-coalescing grid added on top of
-  /// the config's controller overhead on both seam directions.
-  static ShardPlan FromConfig(const Config& config,
-                              SimTime seam_coalesce_ns = 62 * kMicrosecond);
+  static ShardPlan FromConfig(const Config& config) {
+    ShardPlan plan;
+    plan.num_shards = config.geometry.channels + 1;
+    plan.controller_shard = config.geometry.channels;
+    plan.dispatch_ns = config.controller_overhead_ns + kSeamCoalesceNs;
+    plan.complete_ns = config.controller_overhead_ns + kSeamCoalesceNs;
+    return plan;
+  }
 };
 
 }  // namespace postblock::ssd

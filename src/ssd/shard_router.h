@@ -41,14 +41,14 @@ class ShardRouter {
     return engine_->shard(plan_.controller_shard);
   }
   sim::Simulator* channel_sim(std::uint32_t channel) {
-    return engine_->shard(plan_.channel_shard[channel]);
+    return engine_->shard(channel);
   }
 
   /// Controller shard -> channel shard: firmware command dispatch.
   /// Call from an event on the controller shard (or during setup).
   template <typename F>
   void Dispatch(std::uint32_t channel, F&& f) {
-    engine_->Post(plan_.controller_shard, plan_.channel_shard[channel],
+    engine_->Post(plan_.controller_shard, channel,
                   controller_sim()->Now() + plan_.dispatch_ns,
                   std::forward<F>(f));
   }
@@ -57,7 +57,7 @@ class ShardRouter {
   /// an event on `channel`'s shard.
   template <typename F>
   void Complete(std::uint32_t channel, F&& f) {
-    engine_->Post(plan_.channel_shard[channel], plan_.controller_shard,
+    engine_->Post(channel, plan_.controller_shard,
                   channel_sim(channel)->Now() + plan_.complete_ns,
                   std::forward<F>(f));
   }

@@ -60,15 +60,14 @@ ShardedDeviceSim::ShardedDeviceSim(const Config& config,
                                    const ShardedDeviceRun& run)
     : config_(config),
       run_(run),
-      plan_(ShardPlan::FromConfig(config, run.seam_coalesce_ns)),
+      plan_(ShardPlan::FromConfig(config)),
       rng_(run.seed) {
-  assert(config_.metrics == nullptr &&
-         "metrics sampling is unsupported on the sharded device");
   sim::ShardedConfig ec;
   ec.shards = plan_.num_shards;
   ec.workers = run_.workers;
   ec.lookahead = plan_.Lookahead();
   ec.fingerprint = true;
+  ec.observer = run_.observer;
   engine_ = std::make_unique<sim::ShardedEngine>(ec);
   router_ = std::make_unique<ShardRouter>(engine_.get(), plan_);
   std::vector<trace::Tracer*> channel_rings;

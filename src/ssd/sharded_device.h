@@ -20,13 +20,11 @@ namespace postblock::ssd {
 /// mix at fixed queue depth) driving the full ssd::Device — FTL, GC,
 /// write buffer, reliability ladder included — on a ShardPlan-derived
 /// sharded engine. Identical parameters must commit an identical
-/// schedule at every worker count; gate 10 and the sharded-device test
-/// hold ModelFingerprint()/CombinedFingerprint() to that.
+/// schedule at every worker count; check_perf gate 7 and
+/// sharded_device_test hold ModelFingerprint()/CombinedFingerprint()
+/// to that.
 struct ShardedDeviceRun {
   std::uint32_t workers = 0;  // 0 = the sequential reference loop
-  /// Seam price added on top of controller overhead on both edges
-  /// (ShardPlan::FromConfig's batched doorbell/coalescing grid).
-  SimTime seam_coalesce_ns = 62 * kMicrosecond;
   std::uint32_t queue_depth = 32;
   std::uint64_t total_ios = 20000;   // main phase, after precondition
   std::uint32_t write_percent = 30;  // rest are reads
@@ -39,6 +37,10 @@ struct ShardedDeviceRun {
   /// controller ring. Their contents fold into ModelFingerprint(), so
   /// the digest gates also hold tracing to worker-count invariance.
   bool tracing = false;
+  /// Optional execution observer forwarded to the engine config
+  /// (obs::EngineProfiler). Read-only on the schedule; nullptr keeps
+  /// the engine wall-clock-free.
+  sim::EngineObserver* observer = nullptr;
 };
 
 /// Owns engine + router + device + host loop for one run. Build, call
@@ -67,7 +69,7 @@ class ShardedDeviceSim {
   /// equal digests.
   std::uint64_t ModelFingerprint() const;
   /// ModelFingerprint folded with the engine's committed-schedule
-  /// fingerprint — the witness gate 10 compares across worker counts.
+  /// fingerprint — the witness gate 7 compares across worker counts.
   std::uint64_t CombinedFingerprint() const;
 
  private:

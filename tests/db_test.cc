@@ -369,6 +369,41 @@ TEST_F(BTreeTest, ScanAcrossLeafBoundaries) {
   }
 }
 
+// A descent that cannot pin a node must fail the scan, not report an
+// empty or partial range as complete. Here the no-steal pool is full of
+// dirty unrelated pages when the scan needs the (evicted) root.
+TEST_F(BTreeTest, ScanFailsWhenTheDescentCannotPin) {
+  const std::uint64_t n = BTree::kLeafCapacity * 3;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    ASSERT_TRUE(Put(k, k + 1).ok());
+  }
+  bool flushed = false;
+  pool_.FlushAll([&](Status st) {
+    ASSERT_TRUE(st.ok());
+    flushed = true;
+  });
+  RunUntil([&] { return flushed; });
+  const PageId first_filler = next_page_ + 1;
+  for (PageId id = first_filler; id < first_filler + 128; ++id) {
+    bool pinned = false;
+    pool_.Pin(id, [&](StatusOr<Frame*> f) {
+      ASSERT_TRUE(f.ok());
+      pinned = true;
+    });
+    RunUntil([&] { return pinned; });
+    pool_.Unpin(id, /*dirty=*/true);
+  }
+
+  Status seen;
+  bool fired = false;
+  tree_.Scan(0, ~0ull, [&](auto r) {
+    seen = r.status();
+    fired = true;
+  });
+  ASSERT_TRUE(sim_.RunUntilPredicate([&] { return fired; }));
+  EXPECT_TRUE(seen.IsResourceExhausted()) << seen.ToString();
+}
+
 TEST_F(BTreeTest, EmptyScan) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> rows{{1, 1}};
   bool fired = false;

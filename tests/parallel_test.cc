@@ -1,7 +1,7 @@
-// Tier A backend (ssd::ShardedFlashSim) and Tier B sweep harness
-// (sim::ParallelRunner): determinism across worker counts on the
-// fig2-class sharded workload, per-shard Rng domains, and the
-// N-instances-on-N-threads == N-sequential-runs equality.
+// The shard plan's seam pricing, per-shard Rng domains, and the Tier B
+// sweep harness (sim::ParallelRunner): N instances on N threads equal
+// N sequential runs. Worker-count determinism of the sharded device
+// itself lives in sharded_device_test.cc.
 
 #include <cstdint>
 #include <stdexcept>
@@ -15,45 +15,24 @@
 #include "ssd/config.h"
 #include "ssd/device.h"
 #include "ssd/shard_plan.h"
-#include "ssd/sharded_backend.h"
 #include "workload/patterns.h"
 
 namespace postblock {
 namespace {
 
-ssd::Config BackendConfig() {
+TEST(ShardPlanTest, DeclaresPerChannelSeamEdges) {
   ssd::Config config = ssd::Config::Small();
   config.geometry.channels = 4;
-  config.geometry.luns_per_channel = 4;
-  return config;
-}
-
-ssd::ShardedRunConfig SmallRun(std::uint32_t workers) {
-  ssd::ShardedRunConfig run;
-  run.workers = workers;
-  run.ios_per_channel = 400;
-  run.queue_depth_per_channel = 8;
-  return run;
-}
-
-TEST(ShardPlanTest, DeclaresPerChannelSeamEdges) {
-  const ssd::Config config = BackendConfig();
   const ssd::ShardPlan plan = ssd::ShardPlan::FromConfig(config);
+  // One shard per channel, then the controller shard.
   EXPECT_EQ(plan.num_shards, config.geometry.channels + 1);
   EXPECT_EQ(plan.controller_shard, config.geometry.channels);
-  ASSERT_EQ(plan.channel_shard.size(), config.geometry.channels);
-  // One dispatch + one completion edge per channel, each bounded below
-  // by controller overhead + the coalescing grid.
-  EXPECT_EQ(plan.edges.size(), 2u * config.geometry.channels);
-  const SimTime floor = config.controller_overhead_ns;
-  for (const ssd::ShardEdge& edge : plan.edges) {
-    EXPECT_GT(edge.min_latency_ns, floor);
-    EXPECT_TRUE(edge.from == plan.controller_shard ||
-                edge.to == plan.controller_shard)
-        << "chips on different channels must not talk directly";
-  }
-  EXPECT_EQ(plan.Lookahead(),
-            std::min(plan.dispatch_ns, plan.complete_ns));
+  // Both seam directions cost controller overhead plus the coalescing
+  // grid; the lookahead is the cheaper of the two.
+  const SimTime seam = config.controller_overhead_ns + ssd::kSeamCoalesceNs;
+  EXPECT_EQ(plan.dispatch_ns, seam);
+  EXPECT_EQ(plan.complete_ns, seam);
+  EXPECT_EQ(plan.Lookahead(), seam);
 }
 
 TEST(RngDomainTest, StreamsAreAFunctionOfIdAlone) {
@@ -75,44 +54,6 @@ TEST(RngDomainTest, StreamsAreAFunctionOfIdAlone) {
   Rng c0 = same.ForDomain(0);
   Rng c1 = same.ForDomain(1);
   EXPECT_NE(c0.Next(), c1.Next());
-}
-
-TEST(ShardedBackendTest, RunsTheFig2ClassWorkload) {
-  ssd::ShardedFlashSim sim(BackendConfig(), SmallRun(/*workers=*/0));
-  sim.Run();
-  EXPECT_EQ(sim.ios_completed(), 4u * 400u);
-  EXPECT_EQ(sim.latency().count(), 4u * 400u);
-  EXPECT_GT(sim.pages_read(), 0u);
-  EXPECT_GT(sim.pages_programmed(), 0u);
-  // The aged start (5% free) must have GC fighting during the run, and
-  // GC traffic must exceed host programs alone.
-  EXPECT_GT(sim.blocks_erased(), 0u);
-  EXPECT_GT(sim.gc_page_moves(), 0u);
-  EXPECT_GT(sim.engine()->messages_delivered(), 0u);
-}
-
-TEST(ShardedBackendTest, ByteIdenticalAcrossWorkerCounts) {
-  // The tentpole acceptance bit, at test scale: the committed schedule
-  // (engine fingerprints + every model observable) is identical at
-  // 1/2/4/8 workers and on a second run at each count.
-  std::uint64_t reference = 0;
-  std::uint64_t reference_events = 0;
-  {
-    ssd::ShardedFlashSim sim(BackendConfig(), SmallRun(0));
-    sim.Run();
-    reference = sim.CombinedFingerprint();
-    reference_events = sim.engine()->events_executed();
-  }
-  for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      ssd::ShardedFlashSim sim(BackendConfig(), SmallRun(workers));
-      sim.Run();
-      EXPECT_EQ(sim.CombinedFingerprint(), reference)
-          << "workers=" << workers << " repeat=" << repeat;
-      EXPECT_EQ(sim.engine()->events_executed(), reference_events)
-          << "workers=" << workers << " repeat=" << repeat;
-    }
-  }
 }
 
 // --- Tier B: the multi-instance sweep harness --------------------------

@@ -1,11 +1,10 @@
 // Determinism gates for the full ssd::Device on the sharded engine:
 // the committed schedule (engine fingerprint) and every model
 // observable folded into ShardedDeviceSim::ModelFingerprint() must be
-// byte-identical across worker counts {0, 1, 2, 4} and across repeated
-// runs — with GC active, with scripted faults, and with per-shard
-// trace rings attached. This is gate 7's engine-level invariant
-// extended to the real controller/FTL/channel stack (gate 10 holds the
-// same bit at bench scale in scripts/check_perf.sh).
+// byte-identical across worker counts {0, 1, 2, 4, 8} and across
+// repeated runs — with GC active, with scripted faults, and with
+// per-shard trace rings attached. Gate 7 in scripts/check_perf.sh holds
+// the same bit at bench scale.
 
 #include <cstdint>
 #include <vector>
@@ -13,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "flash/fault_injector.h"
+#include "metrics/metrics.h"
 #include "ssd/config.h"
 #include "ssd/sharded_device.h"
 
@@ -68,7 +68,8 @@ TEST(ShardedDeviceTest, ScheduleInvariantAcrossWorkerCounts) {
   // The workload must actually exercise GC relocation across the seam,
   // or the invariance claim is vacuous for the interesting traffic.
   EXPECT_GT(wa, 1.0);
-  for (std::uint32_t workers : {1u, 2u, 4u}) {
+  // 8 workers is more workers than the device's 5 shards.
+  for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
     EXPECT_EQ(RunOnce(config, TestRun(workers)), reference)
         << "workers=" << workers;
   }
@@ -115,7 +116,18 @@ TEST(ShardedDeviceTest, PlanPricesTheSeam) {
   EXPECT_EQ(plan.controller_shard, config.geometry.channels);
   EXPECT_EQ(plan.Lookahead(), sim.engine()->config().lookahead);
   EXPECT_EQ(plan.dispatch_ns,
-            config.controller_overhead_ns + TestRun(0).seam_coalesce_ns);
+            config.controller_overhead_ns + kSeamCoalesceNs);
+}
+
+// A metrics registry's polled gauges would read channel-shard state
+// from worker threads; the sharded controller refuses one in every
+// build, not just where asserts are compiled in.
+TEST(ShardedDeviceDeathTest, MetricsRegistryIsRefused) {
+  metrics::MetricRegistry registry;
+  Config config = TestConfig();
+  config.metrics = &registry;
+  EXPECT_DEATH({ ShardedDeviceSim sim(config, TestRun(0)); },
+               "metrics sampling is not supported on the sharded device");
 }
 
 }  // namespace
